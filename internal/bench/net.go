@@ -6,6 +6,7 @@ import (
 
 	"aamgo/internal/algo"
 	"aamgo/internal/graph"
+	"aamgo/internal/obs"
 	"aamgo/internal/shard"
 )
 
@@ -69,11 +70,24 @@ func runNet(o Options) *Report {
 
 	identical := true
 	var wireBatches uint64
+	// Per-class wire bytes from the obs.Default counters: every rank runs
+	// in this process, so a delta across one job sums all its ranks. State
+	// bytes count at the origin rank; job bytes are the coordinator's
+	// ftJob frames (the first job on a graph ships it, a repeat does not).
+	stateBytes := obs.Default.Counter("aam_net_state_sync_bytes_total")
+	jobBytes := obs.Default.Counter("aam_net_job_bytes_total")
+	type wireDelta struct{ state, job uint64 }
+	measure := func(run func() error) (wireDelta, error) {
+		s0, j0 := stateBytes.Value(), jobBytes.Value()
+		err := run()
+		return wireDelta{stateBytes.Value() - s0, jobBytes.Value() - j0}, err
+	}
 
 	// BFS: depth vectors must match in-process and the sequential reference
 	// (parents race benignly, depths are the invariant).
 	refDepth := algo.SeqBFS(g, src)
-	dBFS, err := c.BFS(g, src, cfg)
+	var dBFS shard.BFSResult
+	bfsWire, err := measure(func() (err error) { dBFS, err = c.BFS(g, src, cfg); return })
 	if err != nil {
 		rep.Checkf(false, "distributed bfs runs", "%v", err)
 		return rep
@@ -93,8 +107,22 @@ func runNet(o Options) *Report {
 	rep.Metricf("shard.bytes_on_wire.bfs", float64(bfsTot.WireBytesSent))
 	wireBatches += bfsTot.WireBatchesSent
 
+	// The same BFS again: the workers hold the graph now, so the job
+	// frames carry only its fingerprint.
+	var rBFS shard.BFSResult
+	repeatWire, err := measure(func() (err error) { rBFS, err = c.BFS(g, src, cfg); return })
+	if err != nil {
+		rep.Checkf(false, "repeat distributed bfs runs", "%v", err)
+		return rep
+	}
+	identical = identical && reflect.DeepEqual(algo.BFSDepths(g, src, rBFS.Parents), refDepth)
+	rep.Metricf("shard.bytes_on_wire.job.bfs.first", float64(bfsWire.job))
+	rep.Metricf("shard.bytes_on_wire.job.bfs.repeat", float64(repeatWire.job))
+	rep.Metricf("shard.bytes_on_wire.state.bfs", float64(bfsWire.state))
+
 	// PageRank: fixed-point arithmetic makes the rank bits identical.
-	dPR, err := c.PageRank(g, 0.85, 20, cfg)
+	var dPR shard.PRResult
+	prWire, err := measure(func() (err error) { dPR, err = c.PageRank(g, 0.85, 20, cfg); return })
 	if err != nil {
 		rep.Checkf(false, "distributed pagerank runs", "%v", err)
 		return rep
@@ -111,6 +139,7 @@ func runNet(o Options) *Report {
 		utoa(prTot.WireBatchesSent), utoa(prTot.WireBytesSent),
 		utoa(prTot.RemoteUnitsSent), fmt.Sprintf("%v", prOK))
 	rep.Metricf("shard.bytes_on_wire.pagerank", float64(prTot.WireBytesSent))
+	rep.Metricf("shard.bytes_on_wire.state.pagerank", float64(prWire.state))
 	wireBatches += prTot.WireBatchesSent
 
 	// SSSP rides along as a third equivalence check (weighted path, min-
@@ -145,9 +174,13 @@ func runNet(o Options) *Report {
 
 	rep.Notef("graph: Kronecker scale %d (%d vertices, %d arcs), src=%d, symmetric distinct weights",
 		scale, g.N, g.NumEdges(), src)
-	rep.Notef("shard.bytes_on_wire.* and shard.wire_batches count ftBatch frames at the origin rank " +
+	rep.Notef("shard.bytes_on_wire.{bfs,pagerank} and shard.wire_batches count ftBatch frames at the origin rank " +
 		"(header included) and are deterministic at workers=1: spawns happen only in compute phases, " +
-		"per-shard execution is sequential, and flush boundaries are fixed by the batch size. " +
-		"State-sync and collective bytes are excluded — the Drain loop count is timing-dependent")
+		"per-shard execution is sequential, and flush boundaries are fixed by the batch size")
+	rep.Notef("shard.bytes_on_wire.state.* counts dirty-block state-sync records at their origin rank; " +
+		"shard.bytes_on_wire.job.bfs.{first,repeat} counts the ftJob frames of the first BFS on the graph " +
+		"(graph shipped to both workers) and of a repeat (graph resident, fingerprint only). All four " +
+		"repeated exactly over repeated runs at workers=1, so they gate exactly; collective bytes stay " +
+		"excluded — the Drain loop count is timing-dependent")
 	return rep
 }

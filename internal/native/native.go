@@ -157,16 +157,24 @@ func (t *nthread) Load(addr int) uint64 {
 	return atomic.LoadUint64(&t.node.mem[addr])
 }
 
+// Store, CAS and FetchAdd go through the STM's stripe locks (stmNode.rmw)
+// so that transactions stay isolated from them, as real HTM transactions
+// are from non-transactional writes.
+
 func (t *nthread) Store(addr int, v uint64) {
 	t.checkAddr(addr)
 	t.st.Stores++
-	atomic.StoreUint64(&t.node.mem[addr], v)
+	t.node.stm.rmw(addr, func(uint64) (uint64, bool) { return v, true })
 }
 
 func (t *nthread) CAS(addr int, old, new uint64) bool {
 	t.checkAddr(addr)
 	t.st.AtomicOps++
-	ok := atomic.CompareAndSwapUint64(&t.node.mem[addr], old, new)
+	ok := false
+	t.node.stm.rmw(addr, func(cur uint64) (uint64, bool) {
+		ok = cur == old
+		return new, ok
+	})
 	if !ok {
 		t.st.CASFail++
 	}
@@ -176,7 +184,7 @@ func (t *nthread) CAS(addr int, old, new uint64) bool {
 func (t *nthread) FetchAdd(addr int, delta uint64) uint64 {
 	t.checkAddr(addr)
 	t.st.AtomicOps++
-	return atomic.AddUint64(&t.node.mem[addr], delta) - delta
+	return t.node.stm.rmw(addr, func(cur uint64) (uint64, bool) { return cur + delta, true })
 }
 
 func (t *nthread) Lock(addr int) {

@@ -17,9 +17,13 @@ import (
 // attempts the transaction serializes under a per-node fallback mutex —
 // the same policy shape as the RTM fallback path.
 //
-// Do not mix Tx and plain atomics on the same addresses concurrently: like
-// real HTM with non-transactional accesses, isolation only holds between
-// transactions.
+// Non-transactional writes (Store, CAS, FetchAdd) are strongly isolated
+// from transactions, as on real HTM: each is a one-word commit under its
+// stripe lock (rmw), so a transaction that read the word first fails
+// validation instead of committing over the update. Mixing the two on
+// the same words is what the AAM lowering pass does while some threads
+// have promoted an operator to its atomic form and others still run it
+// transactionally.
 type stmNode struct {
 	mem      []uint64
 	locks    []uint64 // version<<1 | lockbit
@@ -37,6 +41,31 @@ func newSTMNode(mem []uint64) *stmNode {
 }
 
 func (s *stmNode) stripe(addr int) int { return addr & (stmStripes - 1) }
+
+// rmw applies f to mem[addr] under the word's stripe lock. When f writes,
+// the stripe is republished at a fresh clock version, exactly as a
+// one-word transaction commit would; otherwise its version is kept. It
+// returns the word's value before f.
+func (s *stmNode) rmw(addr int, f func(cur uint64) (next uint64, write bool)) uint64 {
+	st := s.stripe(addr)
+	var v uint64
+	for {
+		v = atomic.LoadUint64(&s.locks[st])
+		if v&1 == 0 && atomic.CompareAndSwapUint64(&s.locks[st], v, v|1) {
+			break
+		}
+		runtime.Gosched()
+	}
+	cur := atomic.LoadUint64(&s.mem[addr])
+	next, write := f(cur)
+	if !write {
+		atomic.StoreUint64(&s.locks[st], v)
+		return cur
+	}
+	atomic.StoreUint64(&s.mem[addr], next)
+	atomic.StoreUint64(&s.locks[st], atomic.AddUint64(&s.clock, 1)<<1)
+	return cur
+}
 
 // nativeTx implements exec.Tx for one attempt.
 type nativeTx struct {

@@ -32,7 +32,9 @@ import (
 //
 // Entries are only stored when the epoch was stable across the
 // computation (checked by the caller), so a cached body always matches
-// the epoch in its key.
+// the epoch in its key. Since lookups only ever use the current epoch, a
+// past epoch's entries are dead weight: the first store at a newer epoch
+// drops them, and a body older than the newest stored epoch is not kept.
 
 type cacheKey struct {
 	epoch  uint64
@@ -118,6 +120,7 @@ type queryCache struct {
 	entries  map[cacheKey]*cacheEntry
 	lru      list.List // front = most recent; values are *cacheEntry
 	flights  map[cacheKey]*flight
+	epoch    uint64 // newest epoch stored; every entry has it
 
 	hits, misses, collapsed, evictions uint64
 }
@@ -157,7 +160,9 @@ func (c *queryCache) acquire(key cacheKey) (body []byte, f *flight, leader bool)
 }
 
 // store inserts a body and evicts LRU entries past the byte bound. Bodies
-// larger than the whole cache are not stored.
+// larger than the whole cache are not stored, nor are bodies of an epoch
+// older than the newest stored one; a store at a newer epoch evicts every
+// older entry first.
 func (c *queryCache) store(key cacheKey, body []byte) {
 	size := int64(len(body))
 	if size > c.maxBytes {
@@ -165,6 +170,15 @@ func (c *queryCache) store(key cacheKey, body []byte) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if key.epoch < c.epoch {
+		return
+	}
+	if key.epoch > c.epoch {
+		for c.lru.Len() > 0 {
+			c.evictTail()
+		}
+		c.epoch = key.epoch
+	}
 	if _, ok := c.entries[key]; ok {
 		return // a concurrent leader of the same key beat us; keep theirs
 	}
@@ -173,13 +187,18 @@ func (c *queryCache) store(key cacheKey, body []byte) {
 	c.entries[key] = e
 	c.bytes += size
 	for c.bytes > c.maxBytes {
-		tail := c.lru.Back()
-		old := tail.Value.(*cacheEntry)
-		c.lru.Remove(tail)
-		delete(c.entries, old.key)
-		c.bytes -= int64(len(old.body))
-		c.evictions++
+		c.evictTail()
 	}
+}
+
+// evictTail drops the least recently used entry; the caller holds mu.
+func (c *queryCache) evictTail() {
+	tail := c.lru.Back()
+	old := tail.Value.(*cacheEntry)
+	c.lru.Remove(tail)
+	delete(c.entries, old.key)
+	c.bytes -= int64(len(old.body))
+	c.evictions++
 }
 
 // finish retires key's flight. The leader populates the flight's

@@ -130,8 +130,8 @@ func TestCacheStaleness(t *testing.T) {
 	if g2.Epoch != res.Epoch || g2.Arcs != g1.Arcs+2 {
 		t.Fatalf("stale answer after mutation: %+v then %+v (want epoch %d)", g1, g2, res.Epoch)
 	}
-	// The old entry stays in the LRU but is unreachable: hits for the new
-	// epoch must come from a fresh computation.
+	// The old entry was dropped when the new epoch's body was stored: hits
+	// for the new epoch must come from a fresh computation.
 	if cs := s.cache.stats(); cs.Misses < 2 {
 		t.Fatalf("expected a second miss after invalidation, got %+v", cs)
 	}
@@ -342,6 +342,69 @@ func TestCacheEviction(t *testing.T) {
 	if cs.Evictions == 0 && cs.Entries >= 8 {
 		t.Fatalf("no evictions despite %d entries in a 512-byte cache", cs.Entries)
 	}
+}
+
+// TestCacheDropsDeadEpochs: lookups only use the current epoch, so a
+// store at a newer epoch evicts every older entry (counted as
+// evictions), and a late body of an older epoch is not kept.
+func TestCacheDropsDeadEpochs(t *testing.T) {
+	c := newQueryCache(1 << 20)
+	body := []byte("0123456789")
+	for i := 0; i < 3; i++ {
+		c.store(cacheKey{epoch: 4, path: "/query/bfs", params: fmt.Sprintf("src=%d", i)}, body)
+	}
+	c.store(cacheKey{epoch: 5, path: "/query/cc"}, body)
+	cs := c.stats()
+	if cs.Entries != 1 || cs.Bytes != int64(len(body)) || cs.Evictions != 3 {
+		t.Fatalf("after a newer-epoch store: %+v; want 1 entry, %d bytes, 3 evictions", cs, len(body))
+	}
+	c.store(cacheKey{epoch: 4, path: "/query/pagerank"}, body)
+	if cs := c.stats(); cs.Entries != 1 || cs.Evictions != 3 {
+		t.Fatalf("an older-epoch body was stored: %+v", cs)
+	}
+	if b, _, _ := c.acquire(cacheKey{epoch: 5, path: "/query/cc"}); string(b) != string(body) {
+		t.Fatalf("current-epoch entry lost: %q", b)
+	}
+}
+
+// TestWeightedViewMemo: SSSP at one epoch and wseed reuses one weighted
+// graph; a new wseed or a new epoch rebuilds it, and a body served from
+// the memo equals one computed from a fresh view.
+func TestWeightedViewMemo(t *testing.T) {
+	ts, s, g := newCacheServer(t, Config{CacheBytes: -1})
+	f := g.Snapshot().Freeze()
+	w1 := s.weightedView(f, 1)
+	if s.weightedView(f, 1) != w1 {
+		t.Fatal("same frozen graph and wseed rebuilt the weighted view")
+	}
+	if s.weightedView(f, 2) == w1 {
+		t.Fatal("a different wseed reused the view")
+	}
+	url := ts.URL + "/query/sssp?src=0&wseed=3&full=1"
+	_, fresh := get(t, url, nil) // builds the wseed=3 view
+	_, memo := get(t, url, nil)  // served from it
+	if withoutWallTime(t, fresh) != withoutWallTime(t, memo) {
+		t.Fatalf("memoized SSSP body differs:\n%s\n%s", fresh, memo)
+	}
+	if _, err := g.Apply([]dyn.Mutation{dyn.AddEdge(0, 200)}, dyn.TxConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if s.weightedView(g.Snapshot().Freeze(), 1) == w1 {
+		t.Fatal("a new epoch reused the old epoch's weighted view")
+	}
+}
+
+// withoutWallTime re-renders a JSON body minus its wall-clock field.
+func withoutWallTime(t *testing.T, body []byte) string {
+	t.Helper()
+	var m map[string]any
+	mustUnmarshal(t, body, &m)
+	delete(m, "wall_time_ns")
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // TestStatsExposesCacheCounters: the /stats body carries the cache and

@@ -60,6 +60,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -205,6 +206,9 @@ type Server struct {
 	cluster atomic.Pointer[shard.Cluster]
 
 	draining atomic.Bool // Drain called: pool admits no new work
+
+	wviewMu sync.Mutex
+	wview   weightedMemo // see weightedView
 }
 
 // New builds a server over g.
@@ -1201,8 +1205,28 @@ func topRanked(ranks []float64, top int) []rankedVertex {
 // weightedView attaches deterministic symmetric edge weights to a frozen
 // snapshot (the dynamic graph stores none): the same wseed over the same
 // epoch yields the same weights, so SSSP and MST queries are reproducible.
-func weightedView(f *graph.Graph, wseed uint64) *graph.Graph {
-	return graph.AttachSymmetricWeights(f, wseed)
+// The last view is memoized by (frozen graph, wseed) — frozen graphs are
+// immutable — so repeated weighted queries at one epoch skip the O(arcs)
+// rebuild, and cluster jobs see one stable graph per epoch.
+func (s *Server) weightedView(f *graph.Graph, wseed uint64) *graph.Graph {
+	s.wviewMu.Lock()
+	m := s.wview
+	s.wviewMu.Unlock()
+	if m.f == f && m.wseed == wseed && m.g != nil {
+		return m.g
+	}
+	g := graph.AttachSymmetricWeights(f, wseed)
+	s.wviewMu.Lock()
+	s.wview = weightedMemo{f: f, wseed: wseed, g: g}
+	s.wviewMu.Unlock()
+	return g
+}
+
+// weightedMemo is weightedView's one-entry memo.
+type weightedMemo struct {
+	f     *graph.Graph
+	wseed uint64
+	g     *graph.Graph
 }
 
 // uintParam parses an optional non-negative integer query parameter.
@@ -1267,7 +1291,7 @@ func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f := s.timedFreeze(r, snap)
-	wg := weightedView(f, wseed)
+	wg := s.weightedView(f, wseed)
 	out := map[string]any{
 		"src":    src,
 		"engine": eng,
@@ -1367,7 +1391,7 @@ func (s *Server) handleMST(w http.ResponseWriter, r *http.Request) {
 		s.writeQuery(w, r, out)
 		return
 	}
-	wg := weightedView(f, wseed)
+	wg := s.weightedView(f, wseed)
 	var labels []int32
 	if shards > 1 {
 		t0 := time.Now()

@@ -13,8 +13,9 @@ import (
 
 // The cluster layer is the session protocol over the tcp transport: a
 // coordinator process listens, N worker processes join, and each
-// algorithm call becomes a job — the coordinator ships the graph, the
-// parameters and the normalized config to every worker (ftJob), every
+// algorithm call becomes a job — the coordinator sends the parameters,
+// the normalized config and the graph (by fingerprint alone when the
+// worker already holds it; see resident.go) to every worker (ftJob), every
 // rank runs the same SPMD driver with a tcpTransport plugged into its
 // executor, and the run's collectives keep the ranks in lockstep until
 // Result() merges the counters. Results are bit-identical to the
@@ -99,7 +100,8 @@ type jobSpec struct {
 	Words    int // reserved (state width is the runner's business)
 	Params   []uint64
 	Cfg      Config
-	G        *graph.Graph
+	GraphFP  uint64       // graphFingerprint of G
+	G        *graph.Graph // nil on a worker when the frame omitted the graph
 }
 
 // jobRunners maps job names to SPMD entry points; every rank — the
@@ -320,8 +322,16 @@ func (c *Cluster) handleJoin(conn net.Conn) {
 		return
 	}
 	c.mu.Lock()
-	c.peers[r] = l
 	c.claimed[r] = false
+	if c.closed {
+		// Close ran during the handshake and could not see this link: say
+		// bye here, or the worker would wait on it forever.
+		c.mu.Unlock()
+		l.writeFrame(ftBye, nil)
+		conn.Close()
+		return
+	}
+	c.peers[r] = l
 	c.mu.Unlock()
 	metClusterRejoins.Inc()
 	c.updateRankGauges()
@@ -540,10 +550,23 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 	}
 	c.nonce++
 	nonce := c.nonce
-	spec := jobSpec{Nonce: nonce, JobRank: 0, JobRanks: jobRanks, Name: name, Params: params, Cfg: cfg, G: g}
-	payload, err := encodeJob(spec)
+	spec := jobSpec{Nonce: nonce, JobRank: 0, JobRanks: jobRanks, Name: name, Params: params, Cfg: cfg, GraphFP: graphFingerprint(g), G: g}
+	// Residency: the graph rides only to ranks whose mirror lacks it.
+	light, err := encodeJob(spec, false)
 	if err != nil {
 		return err, false
+	}
+	var full []byte
+	ship := make([]bool, jobRanks)
+	for r := 1; r < jobRanks; r++ {
+		if _, ok := jobLinks[r].resident.get(spec.GraphFP); !ok {
+			ship[r] = true
+			if full == nil {
+				if full, err = encodeJob(spec, true); err != nil {
+					return err, false
+				}
+			}
+		}
 	}
 
 	n := c.node
@@ -562,6 +585,8 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 			break
 		}
 	}
+	n.relayGate.Lock()
+	gated := true
 	n.startJob(nonce, 0, jobRanks, shardOwners(cfg.Shards, jobRanks), jobLinks, cfg.CollTimeout)
 	watchdog := time.AfterFunc(cfg.JobTimeout, func() {
 		n.requestAbort(fmt.Errorf("%w: job %q exceeded JobTimeout %v", errAborted, name, cfg.JobTimeout))
@@ -569,6 +594,9 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 	failed := false
 	defer func() {
 		watchdog.Stop()
+		if gated { // the broadcast itself failed
+			n.relayGate.Unlock()
+		}
 		if r := recover(); r != nil {
 			nf, ok := r.(netFailure)
 			if !ok {
@@ -586,17 +614,33 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 		}
 		if failed {
 			c.abortSurvivors(nonce, jobLinks, cfg.CollTimeout)
+			for _, l := range jobLinks[1:] {
+				l.resident.reset()
+			}
 		}
-		n.detachExec()
+		n.detachExec(nonce)
 	}()
 
 	for r := 1; r < jobRanks; r++ {
+		payload := light
+		if ship[r] {
+			// The mirror records the graph as the frame leaves; a failed
+			// attempt clears it, since the worker may never decode it.
+			payload = full
+			jobLinks[r].resident.put(spec.GraphFP, nil)
+			metNetGraphShips.Inc()
+		} else {
+			metNetGraphResident.Inc()
+		}
 		patchJobRank(payload, r)
+		metNetJobBytes.Add(uint64(frameHdrLen + len(payload)))
 		l := jobLinks[r]
 		if err := l.writeFrame(ftJob, payload); err != nil {
 			panic(netFailure{err: fmt.Errorf("shard: job send to rank %d: %w", l.peer, err), rank: l.peer})
 		}
 	}
+	n.relayGate.Unlock()
+	gated = false
 	runCfg := cfg
 	tcp := &tcpTransport{node: n}
 	if c.opts.Chaos != nil {
@@ -615,7 +659,7 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 // — no frame of this attempt can reach the next one. Ranks that fail to
 // acknowledge within the collective timeout are evicted.
 func (c *Cluster) abortSurvivors(nonce uint64, jobLinks []*link, ackTO time.Duration) {
-	c.node.detachExec() // disarm first: in-flight relays drop, not error
+	c.node.detachExec(nonce) // disarm first: in-flight relays drop, not error
 	var p [8]byte
 	putU64(p[:], nonce)
 	for _, l := range jobLinks[1:] {
@@ -870,12 +914,26 @@ func (n *node) runJob(payload []byte) (err error, fatal bool) {
 				fatal = true
 			}
 		}
-		n.detachExec()
+		n.detachExec(spec.Nonce)
 	}()
+	g := spec.G
+	if g != nil {
+		n.graphs.put(spec.GraphFP, g)
+	} else if g, _ = n.graphs.get(spec.GraphFP); g == nil {
+		// The coordinator believed this rank holds the graph. Answer its
+		// first collective with a miss instead of running: the attempt
+		// fails without an eviction and the retry ships the graph. The
+		// coordinator's abort that follows is acknowledged as usual.
+		miss := appendCollPayload(nil, collMiss, spec.Nonce, nil)
+		if err := n.links[0].writeFrame(ftColl, miss); err != nil {
+			return err, true
+		}
+		return nil, false
+	}
 	cfg := spec.Cfg // already normalized by the coordinator's run()
 	cfg.transport = &tcpTransport{node: n}
 	n.startJob(spec.Nonce, spec.JobRank, spec.JobRanks, shardOwners(cfg.Shards, spec.JobRanks), nil, cfg.CollTimeout)
-	return runner(spec.G, spec.Params, cfg), false
+	return runner(g, spec.Params, cfg), false
 }
 
 func putU32(b []byte, v uint32) {

@@ -32,7 +32,15 @@ var (
 	metNetBytesSent    = obs.Default.Counter("aam_net_bytes_sent_total")
 	metNetBytesRecv    = obs.Default.Counter("aam_net_bytes_recv_total")
 	metNetCollectives  = obs.Default.Counter("aam_net_collectives_total")
-	metNetStateBytes   = obs.Default.Counter("aam_net_state_sync_bytes_total")
+	// State-sync record bytes, counted at the origin rank like the batch
+	// series (coordinator forwards are relays and do not count).
+	metNetStateBytes = obs.Default.Counter("aam_net_state_sync_bytes_total")
+	// Job frames (coordinator only): bytes of ftJob frames, header
+	// included, and per recipient whether the graph rode along (ships) or
+	// was already resident on the worker.
+	metNetJobBytes      = obs.Default.Counter("aam_net_job_bytes_total")
+	metNetGraphShips    = obs.Default.Counter("aam_net_graph_ships_total")
+	metNetGraphResident = obs.Default.Counter("aam_net_graph_resident_total")
 
 	// Cluster-health series (coordinator only). The rank gauges are
 	// process-global: a process hosting several coordinators (tests)

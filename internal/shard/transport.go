@@ -19,8 +19,8 @@ package shard
 //     the exact-gated executor.steady_allocs bench metric).
 //   - tcp (transport_tcp.go): shards are block-distributed over peer
 //     processes; batches for remote-owned shards are length-prefixed wire
-//     frames (wire.go), barriers allgather owned state regions so each
-//     process holds a fresh replica of the whole state vector, and Drain
+//     frames (wire.go), barriers sync the state blocks owners changed so
+//     each process holds a fresh replica of the whole state vector, and Drain
 //     quiescence is decided by a credit/ack-style counter exchange — see
 //     DESIGN.md §10.
 //
@@ -49,9 +49,9 @@ type Transport interface {
 	// exchange. Called by Drain between Parallel phases.
 	quiesced() bool
 	// barrier ends a Parallel phase. All processes arrive before any
-	// leaves; the tcp transport additionally allgathers owned state
-	// regions so cross-shard reads of quiescent state (MST pointers,
-	// coloring palettes, result gathers) see fresh replicas.
+	// leaves; the tcp transport additionally syncs changed owned state
+	// blocks to every replica so cross-shard reads of quiescent state (MST
+	// pointers, coloring palettes, result gathers) see fresh replicas.
 	barrier()
 	// allreduce combines vals element-wise across every process with op,
 	// in place; every process returns the same reduced vector.

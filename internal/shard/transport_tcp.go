@@ -21,10 +21,13 @@ import (
 //     Topology is a star: workers hold one connection to the coordinator,
 //     which relays worker→worker frames — frames are counted once, at
 //     the origin rank, so the wire metrics are topology-independent.
-//   - The barrier ending every Parallel phase allgathers owned state
-//     regions, so the quiescent cross-shard reads the algorithm drivers
+//   - The barrier ending every Parallel phase syncs owned state to the
+//     replicas, so the quiescent cross-shard reads the algorithm drivers
 //     perform between phases (MST component lookups, coloring palettes,
 //     result gathers) read replicas that are exactly the owners' words.
+//     Only blocks that changed since the previous barrier travel: each
+//     rank diffs its owned regions against a shadow copy (dirty-block
+//     sync, see barrier).
 //   - Drain quiescence is a counter exchange: each rank contributes
 //     (wire batches sent at origin, wire batches enqueued at destination,
 //     batches pending in local inboxes); the machine is quiescent iff
@@ -84,11 +87,17 @@ type netFailure struct {
 // ordinal and fingerprint restart with it, keeping every rank's check
 // sequence aligned; the fingerprint folds in the attempt nonce so frames
 // of different attempts can never verify against each other.
+//
+// A fresh instance also restarts the dirty-block sync: shadow holds this
+// rank's owned state regions as of the last barrier (nil for replicas),
+// and starts zeroed like the executor's state, so every rank's replicas
+// and every owner's shadow agree before the first barrier.
 type tcpTransport struct {
-	node *node
-	ex   *Executor
-	fp   uint64 // session fingerprint, computed at first collective
-	ord  uint64 // collective ordinal
+	node   *node
+	ex     *Executor
+	fp     uint64 // session fingerprint, computed at first collective
+	ord    uint64 // collective ordinal
+	shadow [][]uint64
 }
 
 func (t *tcpTransport) Name() string          { return "tcp" }
@@ -97,6 +106,12 @@ func (t *tcpTransport) pending() int          { return localPending(t.ex) }
 
 func (t *tcpTransport) attach(ex *Executor) {
 	t.ex = ex
+	t.shadow = make([][]uint64, len(ex.shards))
+	for id, s := range ex.shards {
+		if ex.shardRank[id] == ex.rank {
+			t.shadow[id] = make([]uint64, len(s.state))
+		}
+	}
 	t.node.attachExec(ex)
 }
 
@@ -200,98 +215,114 @@ func (t *tcpTransport) quiesced() bool {
 	return vals[0] == vals[1] && vals[2] == 0
 }
 
-// barrier ends a Parallel phase machine-wide and refreshes every
-// non-owned state replica from its owner: each rank contributes its
-// owned regions (shard-id order), the coordinator stitches the full
-// state image and broadcasts it back.
+// barrier ends a Parallel phase machine-wide and brings every non-owned
+// state replica up to its owner's words. Each rank contributes the blocks
+// of its owned regions that changed since the previous barrier (diffed
+// against its shadow); the coordinator applies them to its replicas and
+// forwards to each worker exactly the blocks of shards that worker does
+// not own. A barrier after a phase that wrote no state — the flush-only
+// phase of every Drain loop — carries empty bodies.
+//
+// This relies on replicas changing only here: algorithm drivers write a
+// non-owned shard only in SPMD-identical set-up code that its owner runs
+// too (e.g. seeding the BFS source), which leaves replica and owner
+// agreeing and the owner's block dirty against its shadow.
 func (t *tcpTransport) barrier() {
 	ex, n := t.ex, t.node
 	check := t.nextCheck()
 	metNetCollectives.Inc()
-	regionBytes := 8 * ex.words * ex.Part.MaxLocal()
-	var full []byte
-	if n.jobRank == 0 {
-		full = make([]byte, regionBytes*ex.cfg.Shards)
-		for id, s := range ex.shards {
-			if ex.shardRank[id] == 0 {
-				encodeState(full[id*regionBytes:(id+1)*regionBytes], s.state)
-			}
-		}
-		for r := 1; r < n.jobRanks; r++ {
-			l := n.jobLinks[r]
-			kind, c, _, body, err := decodeCollPayload(n.awaitColl(l))
-			if err != nil {
-				panic(netFailure{err: err, rank: l.peer})
-			}
-			t.verifyColl(l, kind, collState, c, check)
-			off := 0
-			for id := range ex.shards {
-				if ex.shardRank[id] != r {
-					continue
-				}
-				if off+regionBytes > len(body) {
-					panic(netFailure{err: fmt.Errorf("shard: rank %d state blob short at shard %d", r, id), rank: l.peer})
-				}
-				copy(full[id*regionBytes:(id+1)*regionBytes], body[off:off+regionBytes])
-				off += regionBytes
-			}
-			if off != len(body) {
-				panic(netFailure{err: fmt.Errorf("shard: rank %d state blob has %d stray bytes", r, len(body)-off), rank: l.peer})
-			}
-		}
-		res := appendStateCollPayload(nil, check, full)
-		for r := 1; r < n.jobRanks; r++ {
-			l := n.jobLinks[r]
-			if err := l.writeFrame(ftCollRes, res); err != nil {
-				panic(netFailure{err: err, rank: l.peer})
-			}
-		}
-	} else {
-		body := make([]byte, 0, regionBytes*ex.cfg.Shards/n.jobRanks+regionBytes)
-		for id, s := range ex.shards {
-			if ex.shardRank[id] == n.jobRank {
-				body = appendEncodedState(body, s.state)
-			}
-		}
-		l := n.links[0]
-		if err := l.writeFrame(ftColl, appendStateCollPayload(nil, check, body)); err != nil {
-			panic(netFailure{err: err, rank: -1})
-		}
-		kind, c, _, res, err := decodeCollPayload(n.awaitColl(l))
-		if err != nil {
-			panic(netFailure{err: err, rank: -1})
-		}
-		t.verifyColl(l, kind, collState, c, check)
-		if len(res) != regionBytes*ex.cfg.Shards {
-			panic(netFailure{err: fmt.Errorf("shard: state image is %d bytes, want %d", len(res), regionBytes*ex.cfg.Shards), rank: -1})
-		}
-		full = res
-	}
+	var own []byte
 	for id, s := range ex.shards {
-		if ex.shardRank[id] != n.jobRank {
-			decodeState(s.state, full[id*regionBytes:(id+1)*regionBytes])
+		if t.shadow[id] != nil {
+			own = appendDirtyBlocks(own, id, s.state, t.shadow[id])
 		}
 	}
-	metNetStateBytes.Add(uint64(len(full)))
-}
-
-// encodeState serializes state words little-endian into dst (atomic
-// loads: worker goroutines of past phases wrote them atomically).
-func encodeState(dst []byte, state []uint64) {
-	for i := range state {
-		v := atomic.LoadUint64(&state[i])
-		putU64(dst[i*8:], v)
+	metNetStateBytes.Add(uint64(len(own)))
+	if n.jobRank == 0 {
+		t.coordSync(check, own)
+	} else {
+		t.workerSync(check, own)
+	}
+	if barrierHook != nil {
+		barrierHook(ex)
 	}
 }
 
-func appendEncodedState(buf []byte, state []uint64) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, 8*len(state))...)
-	encodeState(buf[off:], state)
+// barrierHook, when set (tests only), observes every rank's executor at
+// the end of each barrier.
+var barrierHook func(ex *Executor)
+
+// coordSync is the coordinator's half of a barrier's state sync.
+func (t *tcpTransport) coordSync(check uint64, own []byte) {
+	n := t.node
+	bodies := make([][]byte, n.jobRanks)
+	bodies[0] = own
+	for r := 1; r < n.jobRanks; r++ {
+		l := n.jobLinks[r]
+		_, body := t.recvColl(l, collState, check)
+		t.applyBlocks(l, body, func(owner int) bool { return owner == r })
+		bodies[r] = body
+	}
+	others := make([][]byte, 0, n.jobRanks-1)
+	for r := 1; r < n.jobRanks; r++ {
+		// Rank r gets every contribution but its own.
+		others = append(append(others[:0], bodies[:r]...), bodies[r+1:]...)
+		l := n.jobLinks[r]
+		if err := l.writeFrame(ftCollRes, appendStateCollPayload(nil, check, others...)); err != nil {
+			panic(netFailure{err: err, rank: l.peer})
+		}
+	}
+}
+
+// workerSync is a worker's half of a barrier's state sync.
+func (t *tcpTransport) workerSync(check uint64, own []byte) {
+	l := t.node.links[0]
+	if err := l.writeFrame(ftColl, appendStateCollPayload(nil, check, own)); err != nil {
+		panic(netFailure{err: err, rank: l.peer})
+	}
+	_, res := t.recvColl(l, collState, check)
+	t.applyBlocks(l, res, func(owner int) bool { return owner != t.node.jobRank })
+}
+
+// applyBlocks installs the state-block records of body into the replicas,
+// failing the attempt (blamed on l's peer) on a malformed body or a
+// record for a shard whose owner the sender may not speak for.
+func (t *tcpTransport) applyBlocks(l *link, body []byte, mayCarry func(owner int) bool) {
+	ex := t.ex
+	err := forEachStateBlock(body, len(ex.shards), len(ex.shards[0].state), func(id, off int, words []byte) error {
+		if !mayCarry(ex.shardRank[id]) {
+			return fmt.Errorf("shard: state record for shard %d (rank %d) from the wrong rank", id, ex.shardRank[id])
+		}
+		decodeState(ex.shards[id].state[off:off+len(words)/8], words)
+		return nil
+	})
+	if err != nil {
+		panic(netFailure{err: err, rank: l.peer})
+	}
+}
+
+// appendDirtyBlocks appends a record for every syncBlockWords-word block
+// of state that differs from shadow, bringing shadow up to date. State
+// words are loaded atomically: worker goroutines of past phases wrote
+// them atomically.
+func appendDirtyBlocks(buf []byte, id int, state, shadow []uint64) []byte {
+	for off := 0; off < len(state); off += syncBlockWords {
+		end := min(off+syncBlockWords, len(state))
+		dirty := false
+		for i := off; i < end; i++ {
+			if v := atomic.LoadUint64(&state[i]); v != shadow[i] {
+				shadow[i] = v
+				dirty = true
+			}
+		}
+		if dirty {
+			buf = appendStateBlock(buf, id, off/syncBlockWords, shadow[off:end])
+		}
+	}
 	return buf
 }
 
-// decodeState installs a replica region (atomic stores: the next phase's
+// decodeState installs replica words (atomic stores: the next phase's
 // workers read these words atomically).
 func decodeState(state []uint64, src []byte) {
 	for i := range state {
@@ -350,6 +381,27 @@ func (t *tcpTransport) verifyColl(l *link, kind, wantKind uint8, check, want uin
 	})
 }
 
+// recvColl awaits l's next collective frame and verifies its kind and
+// check word. On the coordinator a collMiss in its place means the worker
+// lacked the job's graph: the attempt fails retryably without evicting
+// anyone, and the failure path clears the residency mirrors, so the retry
+// ships the graph.
+func (t *tcpTransport) recvColl(l *link, kind uint8, check uint64) ([]uint64, []byte) {
+	n := t.node
+	k, c, vals, body, err := decodeCollPayload(n.awaitColl(l))
+	if err != nil {
+		panic(netFailure{err: err, rank: l.peer})
+	}
+	if k == collMiss && n.jobRank == 0 {
+		if c != n.jobNonce {
+			panic(netFailure{err: fmt.Errorf("shard: stale graph miss (job %d in job %d)", c, n.jobNonce), rank: l.peer})
+		}
+		panic(netFailure{err: fmt.Errorf("shard: rank %d does not hold the job's graph", l.peer), rank: -1})
+	}
+	t.verifyColl(l, k, kind, c, check)
+	return vals, body
+}
+
 // coordReduce runs one collective as job rank 0: collect every
 // participant's contribution, combine element-wise into vals, broadcast
 // the result.
@@ -357,11 +409,7 @@ func (t *tcpTransport) coordReduce(kind uint8, check uint64, vals []uint64) {
 	n := t.node
 	for r := 1; r < n.jobRanks; r++ {
 		l := n.jobLinks[r]
-		k, c, v, _, err := decodeCollPayload(n.awaitColl(l))
-		if err != nil {
-			panic(netFailure{err: err, rank: l.peer})
-		}
-		t.verifyColl(l, k, kind, c, check)
+		v, _ := t.recvColl(l, kind, check)
 		if len(v) != len(vals) {
 			panic(netFailure{err: fmt.Errorf("shard: rank %d reduced %d values, want %d", r, len(v), len(vals)), rank: l.peer})
 		}
@@ -379,18 +427,13 @@ func (t *tcpTransport) coordReduce(kind uint8, check uint64, vals []uint64) {
 // workerReduce runs one collective as a worker rank: contribute, then
 // take the coordinator's verdict.
 func (t *tcpTransport) workerReduce(kind uint8, check uint64, vals []uint64) {
-	n := t.node
-	l := n.links[0]
+	l := t.node.links[0]
 	if err := l.writeFrame(ftColl, appendCollPayload(nil, kind, check, vals)); err != nil {
-		panic(netFailure{err: err, rank: -1})
+		panic(netFailure{err: err, rank: l.peer})
 	}
-	k, c, v, _, err := decodeCollPayload(n.awaitColl(l))
-	if err != nil {
-		panic(netFailure{err: err, rank: -1})
-	}
-	t.verifyColl(l, k, kind, c, check)
+	v, _ := t.recvColl(l, kind, check)
 	if len(v) != len(vals) {
-		panic(netFailure{err: fmt.Errorf("shard: collective result has %d values, want %d", len(v), len(vals)), rank: -1})
+		panic(netFailure{err: fmt.Errorf("shard: collective result has %d values, want %d", len(v), len(vals)), rank: l.peer})
 	}
 	copy(vals, v)
 }
@@ -444,15 +487,28 @@ type node struct {
 	// job config so all ranks share one failure-detection clock.
 	collTimeout time.Duration
 
+	// relayGate (coordinator only) orders relays behind the job
+	// broadcast: runAttempt holds it exclusively from arming an attempt
+	// until every ftJob frame is written, and relays hold it shared. A
+	// fast worker's batch can then never reach a peer ahead of that peer's
+	// job frame, where it would land unarmed and be dropped — leaving the
+	// Drain counters unbalanced, so the attempt would spin in Drain until
+	// JobTimeout.
+	relayGate sync.RWMutex
+
 	mu     sync.Mutex
 	ex     *Executor // current job's executor (nil between jobs)
 	owners []int     // current job's shard→rank map (nil between jobs)
 	early  [][]byte  // batches that arrived before attachExec
-	// armed gates batch routing: set when a job attempt starts, cleared
-	// on abort/detach. Batch frames of a dead attempt that are still in
-	// flight land here disarmed and are dropped by design — the retry
-	// re-initializes all state, so they carry no information.
-	armed bool
+	// armed gates batch routing: the nonce of the attempt it is open for,
+	// 0 when closed. Set when a job attempt starts, cleared on
+	// abort/detach of that attempt. Batch frames of a dead attempt that
+	// are still in flight land here disarmed and are dropped by design —
+	// the retry re-initializes all state, so they carry no information.
+	// armedMax is the highest nonce ever armed: arming is monotonic, so a
+	// duplicated or stale job frame cannot re-arm.
+	armed    uint64
+	armedMax uint64
 
 	// Abort state. requestAbort closes abortCh so every collective wait
 	// (and the next nextCheck) unblocks into a clean job-boundary panic;
@@ -474,6 +530,10 @@ type node struct {
 
 	sentWire atomic.Uint64 // wire batches sent at this origin (this job)
 	recvWire atomic.Uint64 // wire batches enqueued at this destination
+
+	// graphs (worker only, job loop only) holds the graphs of recent jobs
+	// by fingerprint; the coordinator mirrors it per link (link.resident).
+	graphs graphCache
 }
 
 func newNode(rank, nranks int, links []*link) *node {
@@ -508,22 +568,31 @@ func (n *node) startJob(nonce uint64, jobRank, jobRanks int, owners []int, jobLi
 	n.jobLinks = jobLinks
 	n.collTimeout = collTO
 	n.owners = owners
-	n.armed = true
+	n.armed = nonce
+	n.armedMax = max(n.armedMax, nonce)
 	n.mu.Unlock()
 	n.sentWire.Store(0)
 	n.recvWire.Store(0)
 }
 
-// arm opens batch routing before the attempt's owners are known: the
-// worker read loop calls it on ftJob receipt, so relayed batches of the
-// new attempt that beat runJob's startJob are early-buffered instead of
-// dropped. Stale-attempt frames cannot be confused in: the coordinator
-// only sends a new job after every survivor acknowledged the previous
-// attempt's abort, and the ack is FIFO-ordered behind the dead
-// attempt's last frame.
-func (n *node) arm() {
+// arm opens batch routing for attempt nonce before its owners are known:
+// the worker read loop calls it on ftJob receipt, so relayed batches of
+// the new attempt that beat runJob's startJob are early-buffered instead
+// of dropped. It also retires the previous attempt's routing, whose
+// runJob may not have unwound yet: nothing of that attempt can still
+// arrive (the coordinator sends a new job only after the previous one
+// quiesced, or after every survivor acknowledged its abort — the ack is
+// FIFO-ordered behind the dead attempt's last frame), and the new
+// attempt's batches must not be delivered into the old executor.
+// Duplicated or stale job frames (nonce at or below armedMax) change
+// nothing.
+func (n *node) arm(nonce uint64) {
 	n.mu.Lock()
-	n.armed = true
+	if nonce > n.armedMax {
+		n.armedMax = nonce
+		n.armed = nonce
+		n.ex, n.owners, n.early = nil, nil, nil
+	}
 	n.mu.Unlock()
 }
 
@@ -543,14 +612,17 @@ func (n *node) attachExec(ex *Executor) {
 	}
 }
 
-// detachExec ends the job attempt and disarms batch routing; frames of
-// the attempt still in flight are dropped on arrival.
-func (n *node) detachExec() {
+// detachExec ends job attempt nonce and disarms batch routing; frames of
+// the attempt still in flight are dropped on arrival. A newer attempt
+// armed in the meantime (arm) is left alone.
+func (n *node) detachExec(nonce uint64) {
 	n.mu.Lock()
-	n.ex = nil
-	n.owners = nil
-	n.early = nil
-	n.armed = false
+	if n.armed == nonce || n.armed == 0 {
+		n.ex = nil
+		n.owners = nil
+		n.early = nil
+		n.armed = 0
+	}
 	n.mu.Unlock()
 }
 
@@ -587,8 +659,10 @@ func (n *node) noteAbort(nonce uint64) bool {
 	}
 	n.abortMu.Unlock()
 	n.mu.Lock()
-	n.armed = false
-	n.early = nil
+	if n.armed <= nonce {
+		n.armed = 0
+		n.early = nil
+	}
 	n.mu.Unlock()
 	return true
 }
@@ -690,7 +764,7 @@ func (n *node) routeBatch(payload []byte) error {
 		return err
 	}
 	n.mu.Lock()
-	if !n.armed {
+	if n.armed == 0 {
 		n.mu.Unlock()
 		return nil
 	}
@@ -732,7 +806,10 @@ func (n *node) routeBatch(payload []byte) error {
 		// that link (the coordinator will evict the target rank) and keep
 		// reading from the healthy source.
 		tl := jobLinks[owner]
-		if err := tl.writeFrame(ftBatch, payload); err != nil {
+		n.relayGate.RLock()
+		err := tl.writeFrame(ftBatch, payload)
+		n.relayGate.RUnlock()
+		if err != nil {
 			tl.fail(fmt.Errorf("shard: relay to rank %d: %w", owner, err))
 		}
 		return nil
@@ -790,6 +867,14 @@ type link struct {
 	// (heartbeat loop only) spaces the probes.
 	lastRecv atomic.Int64
 	lastPing int64
+
+	// resident (coordinator only, under Cluster.runMu) mirrors the
+	// worker's graph cache: which graphs this link's peer holds.
+	resident graphCache
+
+	// hdr and iov are writeFrameLocked's scratch, guarded by wmu.
+	hdr [frameHdrLen]byte
+	iov net.Buffers
 }
 
 func newLink(conn net.Conn) *link {
@@ -823,20 +908,21 @@ func (l *link) writeFrame(ft frameType, payload []byte) error {
 // writeFrameLocked is the raw frame write; the caller holds wmu. corrupt
 // flips the magic so the receiver rejects the frame at the header (chaos
 // injection only).
+//
+// Header and payload leave in one vectored write (writev on TCP
+// connections), so a frame costs one syscall, not two.
 func (l *link) writeFrameLocked(ft frameType, payload []byte, corrupt bool) error {
 	l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	var hdr [frameHdrLen]byte
-	putFrameHeader(hdr[:], ft, len(payload))
+	putFrameHeader(l.hdr[:], ft, len(payload))
 	if corrupt {
-		hdr[0] ^= 0xFF
+		l.hdr[0] ^= 0xFF
 	}
-	if _, err := l.conn.Write(hdr[:]); err != nil {
+	l.iov = append(l.iov[:0], l.hdr[:], payload)
+	iov := l.iov // WriteTo consumes the slice it is called on
+	_, err := iov.WriteTo(l.conn)
+	l.iov[1] = nil // do not pin the payload until the next frame
+	if err != nil {
 		return err
-	}
-	if len(payload) > 0 {
-		if _, err := l.conn.Write(payload); err != nil {
-			return err
-		}
 	}
 	metNetFramesSent.Inc()
 	metNetBytesSent.Add(uint64(frameHdrLen + len(payload)))
@@ -885,10 +971,10 @@ func (n *node) readLoop(l *link) {
 		case ftColl, ftCollRes:
 			l.collCh <- payload
 		case ftJob:
-			if n.rank != 0 {
+			if n.rank != 0 && len(payload) >= 8 {
 				// Arm routing now: relayed batches of this attempt may land
 				// before serveJobs gets to startJob (they early-buffer).
-				n.arm()
+				n.arm(getU64(payload))
 			}
 			select {
 			case l.jobCh <- payload:

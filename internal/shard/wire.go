@@ -11,7 +11,7 @@ import (
 	"aamgo/internal/graph"
 )
 
-// Wire protocol of the tcp transport (version 1). Every frame is a fixed
+// Wire protocol of the tcp transport (version 2). Every frame is a fixed
 // 8-byte header followed by a payload:
 //
 //	magic[2] = 0xAA 0x4D | version u8 | type u8 | length u32 LE
@@ -23,12 +23,16 @@ import (
 //
 // Decoding is defensive end to end: a malformed header, a truncated
 // payload, an oversized length, or an inconsistent count field returns an
-// error and never panics (fuzz-tested by wire_fuzz_test.go). The length
-// cap bounds what a broken or hostile peer can make us allocate.
+// error and never panics (fuzz-tested in wire_test.go). The length cap
+// bounds what a broken or hostile peer can make us allocate.
+//
+// Version 2 changed two payloads: state syncs carry dirty blocks instead
+// of whole regions, and job frames carry a graph fingerprint with the
+// graph itself optional.
 const (
 	wireMagic0  = 0xAA
 	wireMagic1  = 0x4D
-	wireVersion = 1
+	wireVersion = 2
 
 	frameHdrLen = 8
 	// maxFrameLen caps one frame's payload (64 MiB): far above any real
@@ -46,7 +50,8 @@ const (
 	// ftWelcome: coordinator → worker reply: rank u32 | nranks u32.
 	ftWelcome
 	// ftJob: coordinator → worker: one algorithm invocation — name, params,
-	// config and the full graph (see encodeJob).
+	// config, the graph's fingerprint and, unless the worker already holds
+	// that graph, the graph itself (see encodeJob).
 	ftJob
 	// ftBatch: one coalesced cross-shard operator batch (see
 	// appendBatchPayload). Routed by the leading dstShard field; the
@@ -224,7 +229,11 @@ const (
 	collSum   = uint8(redSum)
 	collMin   = uint8(redMin)
 	collOr    = uint8(redOr)
-	collState = 4 // barrier allgather: body is raw state bytes, not u64s
+	collState = 4 // barrier state sync: body is state-block records, not u64s
+	// collMiss: worker → coordinator in place of its first collective
+	// contribution when the job frame named a graph fingerprint the worker
+	// does not hold. check carries the job nonce; there is no body.
+	collMiss = 5
 )
 
 const collHdrLen = 1 + 8 + 4
@@ -246,7 +255,8 @@ func appendCollPayload(buf []byte, kind uint8, check uint64, vals []uint64) []by
 }
 
 // decodeCollPayload decodes a collective payload. For collState kinds the
-// body is opaque bytes and vals is nil; callers slice p themselves.
+// body is opaque bytes and vals is nil; callers walk it with
+// forEachStateBlock.
 func decodeCollPayload(p []byte) (kind uint8, check uint64, vals []uint64, body []byte, err error) {
 	if len(p) < collHdrLen {
 		return 0, 0, nil, nil, fmt.Errorf("shard: collective payload %d bytes, want >= %d", len(p), collHdrLen)
@@ -261,8 +271,11 @@ func decodeCollPayload(p []byte) (kind uint8, check uint64, vals []uint64, body 
 		}
 		return kind, check, nil, body, nil
 	}
-	if kind != collSum && kind != collMin && kind != collOr {
+	if kind != collSum && kind != collMin && kind != collOr && kind != collMiss {
 		return 0, 0, nil, nil, fmt.Errorf("shard: unknown collective kind %d", kind)
+	}
+	if kind == collMiss && count != 0 {
+		return 0, 0, nil, nil, fmt.Errorf("shard: graph-miss collective carries %d values", count)
 	}
 	if uint64(len(body)) != uint64(count)*8 {
 		return 0, 0, nil, nil, fmt.Errorf("shard: collective count %d disagrees with %d body bytes", count, len(body))
@@ -274,24 +287,93 @@ func decodeCollPayload(p []byte) (kind uint8, check uint64, vals []uint64, body 
 	return kind, check, vals, nil, nil
 }
 
-// appendStateCollPayload encodes a collState contribution whose body is
-// raw bytes (owned state regions, in shard-id order).
-func appendStateCollPayload(buf []byte, check uint64, body []byte) []byte {
+// appendStateCollPayload encodes a collState contribution or result whose
+// body is the concatenation of parts (state-block records).
+func appendStateCollPayload(buf []byte, check uint64, parts ...[]byte) []byte {
+	n := 0
+	for _, part := range parts {
+		n += len(part)
+	}
 	buf = append(buf, collState)
 	var u64 [8]byte
 	binary.LittleEndian.PutUint64(u64[:], check)
 	buf = append(buf, u64[:]...)
 	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(u32[:], uint32(n))
 	buf = append(buf, u32[:]...)
-	return append(buf, body...)
+	for _, part := range parts {
+		buf = append(buf, part...)
+	}
+	return buf
+}
+
+// State-sync body layout (collState):
+//
+//	records × (shard u32 | block u32 | k × u64)
+//
+// Every shard's state region is cut into fixed-size blocks of
+// syncBlockWords words; block b covers words [b·B, min((b+1)·B, region)).
+// A record carries one block that changed since the sender's last
+// barrier. k is implied by the geometry both sides share (only the last
+// block of a region is short), so a record has no length field and a
+// body has exactly one valid parse.
+const (
+	syncBlockWords = 16
+	blockHdrLen    = 8
+)
+
+// appendStateBlock encodes one state-block record.
+func appendStateBlock(buf []byte, id, blk int, words []uint64) []byte {
+	var u32 [4]byte
+	binary.LittleEndian.PutUint32(u32[:], uint32(id))
+	buf = append(buf, u32[:]...)
+	binary.LittleEndian.PutUint32(u32[:], uint32(blk))
+	buf = append(buf, u32[:]...)
+	var u64 [8]byte
+	for _, v := range words {
+		binary.LittleEndian.PutUint64(u64[:], v)
+		buf = append(buf, u64[:]...)
+	}
+	return buf
+}
+
+// forEachStateBlock walks a state-sync body for a machine of shards
+// regions of regionWords words each, calling fn with each record's shard,
+// first word offset within the region, and encoded words. An
+// out-of-range shard or block index or a truncated record is an error,
+// as is any error fn returns; the walk never panics.
+func forEachStateBlock(body []byte, shards, regionWords int, fn func(id, off int, words []byte) error) error {
+	for len(body) > 0 {
+		if len(body) < blockHdrLen {
+			return fmt.Errorf("shard: state record header cut at %d bytes", len(body))
+		}
+		id := binary.LittleEndian.Uint32(body[0:4])
+		blk := binary.LittleEndian.Uint32(body[4:8])
+		if uint64(id) >= uint64(shards) {
+			return fmt.Errorf("shard: state record for shard %d of %d", id, shards)
+		}
+		off := uint64(blk) * syncBlockWords
+		if off >= uint64(regionWords) {
+			return fmt.Errorf("shard: state record block %d past a %d-word region", blk, regionWords)
+		}
+		k := min(uint64(syncBlockWords), uint64(regionWords)-off)
+		body = body[blockHdrLen:]
+		if uint64(len(body)) < 8*k {
+			return fmt.Errorf("shard: state record (shard %d, block %d) cut at %d of %d bytes", id, blk, len(body), 8*k)
+		}
+		if err := fn(int(id), int(off), body[:8*k]); err != nil {
+			return err
+		}
+		body = body[8*k:]
+	}
+	return nil
 }
 
 // Job payload layout:
 //
 //	nonce u64 | jobRank u32 | jobRanks u32 |
 //	nameLen u8 | name | words u32 | nparams u32 | nparams × u64 |
-//	cfg (encodeConfig) | graph (graph.WriteBinary)
+//	cfg (encodeConfig) | graphFP u64 | shipped u8 | [graph (graph.WriteBinary)]
 //
 // The nonce identifies one job attempt (strictly increasing per cluster)
 // so aborts name the attempt they cancel and workers discard stale
@@ -300,13 +382,17 @@ func appendStateCollPayload(buf []byte, check uint64, body []byte) []byte {
 // the coordinator encodes the spec once and patches jobRank per
 // recipient (patchJobRank).
 //
-// The graph rides the job frame whole: at bench/CI scale shipping the CSR
-// (the "AAMG" binary format, weights included) is cheaper than inventing
-// a partition-shipping scheme, and it is exactly what the replica model
-// needs — every rank holds the full structure and owns a state slice.
+// Every rank holds the full graph structure and owns a state slice (the
+// replica model), but the graph does not ride every job: workers keep
+// recently used graphs keyed by graphFP (graphCache), and the
+// coordinator mirrors each link's resident set, so shipped is 1 — and
+// the "AAMG" binary graph, weights included, follows — only when the
+// recipient does not already hold the graph.
 const jobPrologueLen = 8 + 4 + 4
 
-func encodeJob(spec jobSpec) ([]byte, error) {
+// encodeJob encodes spec. With ship false the graph bytes are omitted and
+// only spec.GraphFP names the graph.
+func encodeJob(spec jobSpec, ship bool) ([]byte, error) {
 	if len(spec.Name) > 255 {
 		return nil, fmt.Errorf("shard: job name %q too long", spec.Name)
 	}
@@ -327,7 +413,12 @@ func encodeJob(spec jobSpec) ([]byte, error) {
 		buf = append(buf, u64[:]...)
 	}
 	buf = appendConfig(buf, spec.Cfg)
-	w := bytesWriter{buf: buf}
+	binary.LittleEndian.PutUint64(u64[:], spec.GraphFP)
+	buf = append(buf, u64[:]...)
+	if !ship {
+		return append(buf, 0), nil
+	}
+	w := bytesWriter{buf: append(buf, 1)}
 	if err := graph.WriteBinary(&w, spec.G); err != nil {
 		return nil, err
 	}
@@ -340,7 +431,8 @@ func patchJobRank(payload []byte, jobRank int) {
 	binary.LittleEndian.PutUint32(payload[8:12], uint32(jobRank))
 }
 
-// decodeJob is the inverse of encodeJob.
+// decodeJob is the inverse of encodeJob. spec.G stays nil for a job that
+// names its graph by fingerprint only.
 func decodeJob(p []byte) (jobSpec, error) {
 	var spec jobSpec
 	if len(p) < jobPrologueLen+1 {
@@ -376,6 +468,19 @@ func decodeJob(p []byte) (jobSpec, error) {
 		return spec, err
 	}
 	spec.Cfg = cfg
+	if len(rest) < 8+1 {
+		return spec, fmt.Errorf("shard: truncated job graph fingerprint")
+	}
+	spec.GraphFP = binary.LittleEndian.Uint64(rest[0:8])
+	shipped, rest := rest[8], rest[9:]
+	switch {
+	case shipped == 0 && len(rest) == 0:
+		return spec, nil
+	case shipped == 0:
+		return spec, fmt.Errorf("shard: graph-less job carries %d trailing bytes", len(rest))
+	case shipped != 1:
+		return spec, fmt.Errorf("shard: job graph flag %d", shipped)
+	}
 	if err := checkGraphPayload(rest); err != nil {
 		return spec, err
 	}

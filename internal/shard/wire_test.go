@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestCollPayloadRoundTrip(t *testing.T) {
 		}
 	}
 	body := []byte{1, 2, 3, 4, 5}
-	p := appendStateCollPayload(nil, 0x99, body)
+	p := appendStateCollPayload(nil, 0x99, body[:2], nil, body[2:])
 	k, check, vals, got, err := decodeCollPayload(p)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +113,61 @@ func TestCollPayloadRoundTrip(t *testing.T) {
 	if k != collState || check != 0x99 || vals != nil || !bytes.Equal(got, body) {
 		t.Fatal("state collective round-trip mismatch")
 	}
+	p = appendCollPayload(nil, collMiss, 7, nil)
+	if k, check, vals, _, err := decodeCollPayload(p); err != nil || k != collMiss || check != 7 || len(vals) != 0 {
+		t.Fatalf("graph-miss collective: kind %d check %d vals %v err %v", k, check, vals, err)
+	}
+}
+
+// fuzzShards and fuzzRegion are the state geometry the state-block walks
+// below decode against: 3 shards of 70 words, so each region ends in a
+// short block (lastBlock, starting at word lastOff).
+const (
+	fuzzShards, fuzzRegion = 3, 70
+	lastBlock              = (fuzzRegion - 1) / syncBlockWords
+	lastOff                = lastBlock * syncBlockWords
+)
+
+func TestStateBlocksRoundTrip(t *testing.T) {
+	words := make([]uint64, fuzzRegion)
+	for i := range words {
+		words[i] = uint64(i) * 0x0101010101010101
+	}
+	var body []byte
+	body = appendStateBlock(body, 2, 0, words[:syncBlockWords])
+	body = appendStateBlock(body, 0, lastBlock, words[lastOff:]) // the short last block
+	var got []string
+	err := forEachStateBlock(body, fuzzShards, fuzzRegion, func(id, off int, w []byte) error {
+		got = append(got, fmt.Sprintf("%d@%d+%d", id, off, len(w)/8))
+		if getU64(w) != words[off] {
+			t.Errorf("shard %d block at %d: first word %#x, want %#x", id, off, getU64(w), words[off])
+		}
+		return nil
+	})
+	want := []string{fmt.Sprintf("2@0+%d", syncBlockWords), fmt.Sprintf("0@%d+%d", lastOff, fuzzRegion-lastOff)}
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("walk: %v, %v; want %v", got, err, want)
+	}
+	cases := map[string][]byte{
+		"shard out of range": appendStateBlock(nil, fuzzShards, 0, words[:syncBlockWords]),
+		"block out of range": appendStateBlock(nil, 0, lastBlock+1, nil),
+		"truncated block":    appendStateBlock(nil, 0, 0, words[:syncBlockWords-1]),
+		"truncated header":   body[:len(body)-8*(fuzzRegion-lastOff)-2],
+		"short block padded": append(appendStateBlock(nil, 1, lastBlock, words[lastOff:]), 0),
+	}
+	for name, b := range cases {
+		if err := forEachStateBlock(b, fuzzShards, fuzzRegion, func(int, int, []byte) error { return nil }); err == nil {
+			t.Errorf("%s: walked without error", name)
+		}
+	}
 }
 
 func TestJobRoundTrip(t *testing.T) {
 	g := graph.AttachSymmetricWeights(graph.Kronecker(6, 6, 1), 5)
 	spec := jobSpec{
-		Name:   "sssp",
-		Params: []uint64{42, ^uint64(0)},
+		Name:    "sssp",
+		Params:  []uint64{42, ^uint64(0)},
+		GraphFP: graphFingerprint(g),
 		Cfg: Config{
 			Shards: 8, Workers: 2, BatchSize: 64, HTMRetries: 3,
 			Flush: FlushByEpoch, Mechanism: aam.MechHTM,
@@ -126,7 +175,7 @@ func TestJobRoundTrip(t *testing.T) {
 		},
 		G: g,
 	}
-	p, err := encodeJob(spec)
+	p, err := encodeJob(spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +197,25 @@ func TestJobRoundTrip(t *testing.T) {
 		!slices.Equal(gg.Offsets, g.Offsets) || !slices.Equal(gg.Adj, g.Adj) ||
 		!slices.Equal(gg.Weights, g.Weights) {
 		t.Fatal("graph mismatch after round-trip")
+	}
+	if got.GraphFP != spec.GraphFP {
+		t.Fatalf("graph fingerprint %#x, want %#x", got.GraphFP, spec.GraphFP)
+	}
+
+	// The same job naming its graph by fingerprint only.
+	light, err := encodeJob(spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = decodeJob(light)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.G != nil || got.GraphFP != spec.GraphFP || got.Name != spec.Name {
+		t.Fatalf("graph-less job decoded as %+v", got)
+	}
+	if len(p)-len(light) != len(mustEncode(t, g)) {
+		t.Fatalf("graph-less job is %d bytes, full job %d", len(light), len(p))
 	}
 }
 
@@ -209,6 +277,18 @@ func FuzzBatchPayload(f *testing.F) {
 func FuzzCollPayload(f *testing.F) {
 	f.Add(appendCollPayload(nil, collSum, 7, []uint64{1, 2}))
 	f.Add(appendStateCollPayload(nil, 9, []byte{1, 2, 3}))
+	f.Add(appendCollPayload(nil, collMiss, 3, nil))
+	f.Add(appendCollPayload(nil, collMiss, 3, []uint64{1}))
+	// State-block bodies for the fuzzShards × fuzzRegion geometry: valid
+	// records, then out-of-range shard and block indices and truncated
+	// blocks.
+	words := make([]uint64, syncBlockWords)
+	valid := appendStateBlock(appendStateBlock(nil, 0, 0, words), 2, lastBlock, words[:fuzzRegion-lastOff])
+	f.Add(appendStateCollPayload(nil, 5, valid))
+	f.Add(appendStateCollPayload(nil, 5, appendStateBlock(nil, fuzzShards, 0, words)))
+	f.Add(appendStateCollPayload(nil, 5, appendStateBlock(nil, 0, 1<<31, words)))
+	f.Add(appendStateCollPayload(nil, 5, valid[:len(valid)-1]))
+	f.Add(appendStateCollPayload(nil, 5, valid[:blockHdrLen+8]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, check, vals, body, err := decodeCollPayload(data)
 		if err != nil {
@@ -217,6 +297,15 @@ func FuzzCollPayload(f *testing.F) {
 		var reenc []byte
 		if kind == collState {
 			reenc = appendStateCollPayload(nil, check, body)
+			// The block walk is total too, and what it accepts re-encodes.
+			var blocks []byte
+			err := forEachStateBlock(body, fuzzShards, fuzzRegion, func(id, off int, w []byte) error {
+				blocks = append(appendStateBlock(blocks, id, off/syncBlockWords, nil), w...)
+				return nil
+			})
+			if err == nil && !bytes.Equal(blocks, body) {
+				t.Fatal("accepted state body does not re-encode to its input")
+			}
 		} else {
 			reenc = appendCollPayload(nil, kind, check, vals)
 		}
@@ -229,17 +318,24 @@ func FuzzCollPayload(f *testing.F) {
 // FuzzJobPayload checks the job decoder (config parsing and the binary
 // graph reader behind it) never panics on malformed frames.
 func FuzzJobPayload(f *testing.F) {
-	g := graph.Kronecker(4, 4, 1)
-	if seed, err := encodeJob(jobSpec{Name: "bfs", Params: []uint64{0}, Cfg: Config{Shards: 2}, G: g}); err == nil {
-		f.Add(seed)
-	}
+	spec := jobSpec{Name: "bfs", Params: []uint64{0}, Cfg: Config{Shards: 2}, GraphFP: 0xF00D, G: graph.Kronecker(4, 4, 1)}
+	full, _ := encodeJob(spec, true)
+	light, _ := encodeJob(spec, false)
+	f.Add(full)
+	f.Add(light)
+	f.Add(light[:len(light)-1])                          // flag byte cut
+	f.Add(append(slices.Clone(light), 0))                // graph-less with trailing bytes
+	f.Add(append(slices.Clone(light[:len(light)-1]), 2)) // unknown flag
+	f.Add(full[:len(light)+10])                          // graph cut inside its header
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeJob(data)
 		if err != nil {
 			return
 		}
-		if spec.G == nil {
-			t.Fatal("accepted job without graph")
+		// Only a graph-less job — its last byte the clear flag — may
+		// decode without a graph.
+		if spec.G == nil && data[len(data)-1] != 0 {
+			t.Fatal("accepted a shipped job without its graph")
 		}
 	})
 }
